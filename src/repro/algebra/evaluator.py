@@ -74,6 +74,9 @@ class EvalStats:
     semijoin_fastpaths / antijoin_fastpaths:
         Uses of the ``pi``-over-join semi-join path and the complement-shape
         anti-join path.
+    reductions:
+        Nodes the columnar engine evaluated reduced by a probe (delta-driven
+        semi-join reduction, see :mod:`repro.algebra.columnar_eval`).
     """
 
     __slots__ = (
@@ -85,6 +88,7 @@ class EvalStats:
         "rows_joined",
         "semijoin_fastpaths",
         "antijoin_fastpaths",
+        "reductions",
     )
 
     def __init__(self) -> None:
@@ -100,6 +104,7 @@ class EvalStats:
         self.rows_joined = 0
         self.semijoin_fastpaths = 0
         self.antijoin_fastpaths = 0
+        self.reductions = 0
 
     def merge(self, other: "EvalStats") -> "EvalStats":
         """Add ``other``'s counters into this one (returns self)."""

@@ -44,9 +44,17 @@ def scope_of(source: object) -> Dict[str, Tuple[str, ...]]:
 
 
 class Expression:
-    """Base class of relational algebra expressions."""
+    """Base class of relational algebra expressions.
 
-    __slots__ = ()
+    Nodes are never mutated after construction, so the structural key
+    (behind ``==``, ``hash`` and every memo) and the set of referenced
+    relation names are computed once per node and kept on it.
+    """
+
+    __slots__ = ("_cached_key", "_cached_names")
+
+    _cached_key: tuple
+    _cached_names: FrozenSet[str]
 
     # -- structure ------------------------------------------------------
 
@@ -59,6 +67,14 @@ class Expression:
         raise NotImplementedError
 
     def _key(self) -> tuple:
+        """The structural key, built on first use and then kept on the node."""
+        try:
+            return self._cached_key
+        except AttributeError:
+            key = self._cached_key = self._build_key()
+            return key
+
+    def _build_key(self) -> tuple:
         raise NotImplementedError
 
     def __eq__(self, other: object) -> bool:
@@ -88,6 +104,10 @@ class Expression:
 
     def relation_names(self) -> FrozenSet[str]:
         """Names of all :class:`RelationRef` leaves in this tree."""
+        try:
+            return self._cached_names
+        except AttributeError:
+            pass
         names = set()
         stack = [self]
         while stack:
@@ -95,7 +115,8 @@ class Expression:
             if isinstance(node, RelationRef):
                 names.add(node.name)
             stack.extend(node.children())
-        return frozenset(names)
+        frozen = self._cached_names = frozenset(names)
+        return frozen
 
     def walk(self) -> Iterable["Expression"]:
         """All nodes of the tree, pre-order."""
@@ -136,7 +157,7 @@ class RelationRef(Expression):
             raise ExpressionError(f"relation {self.name!r} not in scope")
         return tuple(scope[self.name])
 
-    def _key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("ref", self.name)
 
     def __str__(self) -> str:
@@ -167,7 +188,7 @@ class Empty(Expression):
     def attributes(self, scope: Scope) -> Tuple[str, ...]:
         return self.attrs
 
-    def _key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("empty", frozenset(self.attrs))
 
     def __str__(self) -> str:
@@ -205,7 +226,7 @@ class Project(Expression):
             )
         return self.attrs
 
-    def _key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("project", frozenset(self.attrs), self.child._key())
 
     def __str__(self) -> str:
@@ -240,7 +261,7 @@ class Select(Expression):
             )
         return child_attrs
 
-    def _key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("select", self.condition._key(), self.child._key())
 
     def __str__(self) -> str:
@@ -269,7 +290,7 @@ class Join(Expression):
         left_set = set(left_attrs)
         return left_attrs + tuple(a for a in right_attrs if a not in left_set)
 
-    def _key(self) -> tuple:
+    def _build_key(self) -> tuple:
         # Natural join is associative, commutative, and idempotent under set
         # semantics, so equality flattens the join tree into the set of its
         # non-join operands (this also makes `parse(str(e)) == e` hold for
@@ -318,7 +339,7 @@ class Union(Expression):
             )
         return left_attrs
 
-    def _key(self) -> tuple:
+    def _build_key(self) -> tuple:
         # Union is associative, commutative, and idempotent: flatten, like
         # Join above.
         parts = []
@@ -365,7 +386,7 @@ class Difference(Expression):
             )
         return left_attrs
 
-    def _key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("difference", self.left._key(), self.right._key())
 
     def __str__(self) -> str:
@@ -412,7 +433,7 @@ class Rename(Expression):
             raise ExpressionError(f"rename {self.mapping} collides: {out}")
         return out
 
-    def _key(self) -> tuple:
+    def _build_key(self) -> tuple:
         return ("rename", tuple(sorted(self.mapping.items())), self.child._key())
 
     def __str__(self) -> str:

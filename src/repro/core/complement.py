@@ -44,6 +44,7 @@ from repro.algebra.expressions import (
     Union,
     Scope,
 )
+from repro.algebra.deltas import del_name, ins_name
 from repro.algebra.rewriting import substitute
 from repro.algebra.simplify import simplify
 from repro.schema.catalog import Catalog
@@ -120,6 +121,7 @@ class WarehouseSpec:
         self.complements = dict(complements)
         self.inverses = dict(inverses)
         self.method = method
+        self._touched_inverses: Dict[str, Expression] = {}
 
     # -- naming and scopes ------------------------------------------------
 
@@ -175,6 +177,20 @@ class WarehouseSpec:
         if relation not in self.inverses:
             raise WarehouseError(f"no inverse recorded for relation {relation!r}")
         return self.inverses[relation]
+
+    def touched_inverse(self, relation: str) -> Expression:
+        """The reconstructed rows of ``relation`` that an update mentions.
+
+        ``(R__ins ∪ R__del) ⋈ W⁻¹(R)``: all that
+        :func:`repro.core.maintenance.normalize_update` needs. Built once
+        per relation and kept on the spec, not rebuilt per refresh.
+        """
+        expression = self._touched_inverses.get(relation)
+        if expression is None:
+            touched = Union(RelationRef(ins_name(relation)), RelationRef(del_name(relation)))
+            expression = Join(touched, self.inverse_for(relation))
+            self._touched_inverses[relation] = expression
+        return expression
 
     def describe(self) -> str:
         """Multi-line description: views, complements, inverses."""

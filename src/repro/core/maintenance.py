@@ -158,23 +158,29 @@ def normalize_update(
 ) -> Update:
     """The update's effective form w.r.t. the *reconstructed* base state.
 
-    Only the updated relations are reconstructed (one inverse evaluation
-    each, against warehouse relations — no source access). With a
-    cross-update ``cache``, inverses of relations whose warehouse inputs
-    did not change since the last refresh are served without evaluation.
-    With a ``tracer``, each inverse evaluation nests under a
-    ``reconstruct`` span carrying the relation name.
+    Only the updated relations are reconstructed, against warehouse
+    relations — no source access. :meth:`Delta.normalized` only tests the
+    update's rows for membership, so per relation ``R`` the query is
+    ``(R__ins ∪ R__del) ⋈ W⁻¹(R)`` over the warehouse plus the reported
+    deltas, not the whole ``W⁻¹(R)``: the columnar engine then reads only
+    the rows matching the update (see ``docs/fastpath.md``). With a
+    ``tracer``, each evaluation nests under a ``reconstruct`` span
+    carrying the relation name.
     """
     reconstructed: Dict[str, Relation] = {}
     memo = cache if cache is not None else {}
     for delta in update:
         if delta.relation not in spec.inverses:
             raise WarehouseError(f"update touches unknown relation {delta.relation!r}")
+    state: Dict[str, Relation] = dict(warehouse)
+    state.update(delta_bindings(update, spec.source_scope()))
+    for delta in update:
+        expression = spec.touched_inverse(delta.relation)
         if tracer is not None:
             with tracer.span("reconstruct", relation=delta.relation) as span:
                 result = evaluate(
-                    spec.inverses[delta.relation],
-                    warehouse,
+                    expression,
+                    state,
                     cache=memo,
                     stats=stats,
                     fastpath=fastpath,
@@ -184,8 +190,8 @@ def normalize_update(
                 span.attributes["rows_out"] = len(result)
         else:
             result = evaluate(
-                spec.inverses[delta.relation],
-                warehouse,
+                expression,
+                state,
                 cache=memo,
                 stats=stats,
                 fastpath=fastpath,

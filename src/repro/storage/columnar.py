@@ -35,6 +35,7 @@ kernels by default. Callers can also pass ``engine="columnar"`` explicitly
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import EvaluationError, ExpressionError
@@ -370,7 +371,8 @@ class ColumnarTable:
         return dense
 
     def _take(self, positions: Sequence[int]) -> "ColumnarTable":
-        """A new table of the given row positions (dense tables only)."""
+        """A new (dense) table of the given physical row positions, which
+        must all be live."""
         columns = tuple([column[i] for i in positions] for column in self.columns)
         return ColumnarTable(self.attributes, columns, len(positions))
 
@@ -560,25 +562,45 @@ class ColumnarTable:
                 right_idx = [j for k in left_keys for j in get(k, _NO_POSITIONS)]
         left_columns = [[column[i] for i in left_idx] for column in left.columns]
         rindex = rattrs.index
-        right_columns = [
-            [right.columns[rindex(a)][j] for j in right_idx] for a in extras
-        ]
+        extra_columns = [right.columns[rindex(a)] for a in extras]
+        right_columns = [[column[j] for j in right_idx] for column in extra_columns]
         return ColumnarTable(
             out_attrs, tuple(left_columns + right_columns), len(left_idx)
         )
 
     def semi_join(self, other: "ColumnarTable") -> "ColumnarTable":
-        """Semi-join ``self ⋉ other`` on encoded keys (never materializes)."""
+        """Semi-join ``self ⋉ other`` on encoded keys (never materializes).
+
+        Reads ``self`` where it lies: dead rows of a patched table are
+        skipped instead of densifying every column first, and a probe on
+        all of ``self``'s attributes is answered from the row-position
+        index (kept across patches) in time linear in ``other``.
+        """
         _count("semi_join")
-        left = self._as_dense()
         right = other._as_dense()
-        shared = tuple(a for a in left.attributes if a in frozenset(right.attributes))
+        right_set = frozenset(right.attributes)
+        shared = tuple(a for a in self.attributes if a in right_set)
         if not shared:
+            left = self._as_dense()
             return left if right._live else left._take(())
+        if len(shared) == len(self.attributes) and self._positions is not None:
+            index = self._positions.get
+            probe = zip(*(right.columns[right.attributes.index(a)] for a in shared))
+            found = [index(key) for key in probe]
+            return self._take(sorted(i for i in found if i is not None))
         shared_sorted = tuple(sorted(shared))
         keys = set(right._key_column(shared_sorted))
-        left_keys = left._key_column(shared_sorted)
-        return left._take([i for i, k in enumerate(left_keys) if k in keys])
+        index = self.attributes.index
+        columns = [self.columns[index(a)] for a in shared_sorted]
+        # Membership over the whole column in C (map + compress), without
+        # materializing a list of key tuples: the probe is usually a handful
+        # of keys against a fact-table column.
+        row_keys = columns[0] if len(columns) == 1 else zip(*columns)
+        hits = compress(range(len(columns[0])), map(keys.__contains__, row_keys))
+        valid = self.valid
+        if valid is None:
+            return self._take(list(hits))
+        return self._take([i for i in hits if valid[i]])
 
     def anti_join(self, other: "ColumnarTable") -> "ColumnarTable":
         """Anti-join ``self ▷ other`` on encoded keys."""

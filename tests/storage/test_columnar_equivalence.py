@@ -227,6 +227,27 @@ class TestPatchingEquivalence:
             patched.join(other), expected.natural_join(other.to_relation())
         )
 
+    @given(patch_cases(), st.randoms(use_true_random=False))
+    def test_patched_table_semi_join_agrees(self, case, rng):
+        """Semi-joins read a patched table in place: dead rows never match,
+        and a probe on every attribute goes through the position index."""
+        attrs, base, added, removed = case
+        r = Relation(attrs, base)
+        patched = r.columnar().patched(added, removed)
+        expected = Relation(attrs, (base - removed) | added)
+        candidates = sorted(base | added, key=repr)
+        probe_rows = rng.sample(candidates, min(3, len(candidates)))
+        order = tuple(rng.sample(attrs, len(attrs)))
+        full_probe = Relation(attrs, probe_rows).reorder(order)
+        assert_equivalent(
+            patched.semi_join(full_probe.columnar()), expected.semi_join(full_probe)
+        )
+        partial_probe = full_probe.project(order[: max(1, len(order) - 1)])
+        assert_equivalent(
+            patched.semi_join(partial_probe.columnar()),
+            expected.semi_join(partial_probe),
+        )
+
     @given(patch_cases())
     def test_repeated_patches_compose(self, case):
         attrs, base, added, removed = case
