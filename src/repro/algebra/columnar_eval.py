@@ -13,7 +13,10 @@ kernel instead of a tuple-set method:
   layer delta-patches it across refreshes, so big relations encode once);
 * predicates evaluate over dictionary codes
   (:meth:`ColumnarTable.select`), joins hash on encoded key columns
-  (:meth:`ColumnarTable.join`);
+  (:meth:`ColumnarTable.join`); a projection of a selection,
+  ``pi_Z(sigma_c(e))``, runs as the one fused
+  :meth:`ColumnarTable.select_project` kernel (the same one the plan
+  compiler emits);
 * results stay columnar through the whole expression tree — **late
   materialization**: value tuples are rebuilt only at the public API
   boundary (:func:`evaluate_columnar` returns ordinary ``Relation``
@@ -430,6 +433,12 @@ def _eval_project(
                 projected = ctx.memo[probe_key] = probe.project(kept)
             probe = projected  # type: ignore[assignment]
     child = expr.child
+    if isinstance(child, Select):
+        # pi_Z(sigma_c(e)), the optimizer's leaf shape: one fused kernel
+        # gathers only the kept columns of the matching rows.
+        return _eval(child.child, ctx, probe).select_project(
+            child.condition, expr.attrs
+        )
     if not (ctx.fastpath and isinstance(child, Join)):
         return _eval(child, ctx, probe).project(expr.attrs)
     # Same fast path as the tuple engine: pi_Z(L join R) with Z inside one

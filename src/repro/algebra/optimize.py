@@ -12,10 +12,17 @@ classical and sound for set semantics:
 * ``sigma_c(rho(e))``  — commutes inside with renamed condition;
 * ``pi_Z(l ⋈ r)``      — each side keeps only Z plus the join attributes;
 * ``pi_Z(l ∪ r)``      — distributes to both sides;
-* ``pi_Z(sigma_c(e))`` — narrows ``e`` to Z plus the condition attributes.
+* ``pi_Z(sigma_c(l ⋈ r))`` — each join side keeps only Z, the condition
+  attributes and the join attributes.
 
 A scope (name -> attributes) is required: the rules need subtree schemas.
 The result is finished with :func:`~repro.algebra.simplify.simplify`.
+
+The rules stop at a true fixpoint, and its leaf shape is canonical:
+``pi_Z(sigma_c(R))``, the selection on the stored relation and the
+projection above it. A projection is never put *between* a selection and
+its input, because ``sigma_c(pi_Z(e))`` commutes straight back out and
+the two rules would undo each other on every pass.
 """
 
 from __future__ import annotations
@@ -163,12 +170,18 @@ def _push_project(expr: Project, scope: Scope) -> Expression:
             Project(child.left, expr.attrs), Project(child.right, expr.attrs)
         )
 
-    if isinstance(child, Select):
-        keep = target | child.condition.attributes()
-        narrowed = _narrow(child.child, keep, scope)
-        if narrowed == child.child:
+    if isinstance(child, Select) and isinstance(child.child, Join):
+        # A selection left on a join reads both sides (the pushdown moved
+        # every one-sided conjunct): narrow the sides below it.
+        join = child.child
+        left_attrs = join.left.attribute_set(scope)
+        right_attrs = join.right.attribute_set(scope)
+        keep = target | child.condition.attributes() | (left_attrs & right_attrs)
+        new_left = _narrow(join.left, keep, scope)
+        new_right = _narrow(join.right, keep, scope)
+        if new_left == join.left and new_right == join.right:
             return expr
-        return Project(Select(narrowed, child.condition), expr.attrs)
+        return Project(Select(Join(new_left, new_right), child.condition), expr.attrs)
 
     return expr
 

@@ -80,7 +80,6 @@ from repro.analysis.concurrency import (
 from repro.analysis.races import RaceTracker, races_enabled
 from repro.core.complement import WarehouseSpec, specify
 from repro.core.routing import ShardRouting, _stable_hash  # noqa: F401 — re-export
-from repro.core.translation import answer_query
 from repro.core.warehouse import StateLike, Warehouse
 
 __all__ = [
@@ -525,14 +524,14 @@ class ShardedWarehouse:
         return self.shards[0].reconstruct(relation)
 
     def answer(self, query) -> Relation:
-        """Answer a source query from the newest committed snapshot."""
+        """Answer a source query from the newest committed snapshot.
+
+        Shard 0 answers it over the assembled state, so plans come from its
+        translation cache and ``shards[0].recertify_queries`` governs their
+        eviction.
+        """
         self._metrics.counter("warehouse.queries").inc()
-        return answer_query(
-            self.spec,
-            self.snapshot().state(),
-            self.shards[0]._as_expression(query),
-            engine=self.shards[0].engine,
-        )
+        return self.shards[0]._answer(query, self.snapshot().state())
 
     # ------------------------------------------------------------------
     # Writes: split / refresh / commit

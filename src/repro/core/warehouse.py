@@ -50,6 +50,20 @@ QueryLike = TypingUnion[str, Expression]
 StateLike = TypingUnion[Database, Mapping[str, Relation]]
 
 
+def _detached(answer: Relation, state: Mapping[str, Relation]) -> Relation:
+    """``answer`` without the columnar twin its evaluation attached.
+
+    A freshly computed answer is never patched, so its twin is only memory
+    held for as long as the caller keeps the answer. A bound state
+    relation returned as the answer keeps its twin: refresh patches it.
+    """
+    if answer.has_columnar_twin() and all(
+        answer is not bound for bound in state.values()
+    ):
+        answer._columnar = None
+    return answer
+
+
 class Warehouse:
     """A materialized, query- and update-independent warehouse.
 
@@ -458,12 +472,18 @@ class Warehouse:
         """Answer a source query from warehouse relations only.
 
         The optimized translation is cached per query shape
-        (:class:`~repro.core.translation.TranslationCache`); under
+        (:class:`~repro.core.translation.TranslationCache`). A freshly
+        computed answer is returned without a columnar twin; under
         ``REPRO_CHECK_QUERIES=1`` the evaluation is traced (with a
         throwaway buffer if tracing is off) and its runtime reads are
         cross-checked against the plan's static read set.
         """
         self._metrics.counter("warehouse.queries").inc()
+        return self._answer(query, self.state)
+
+    def _answer(self, query: QueryLike, state: Mapping[str, Relation]) -> Relation:
+        """:meth:`answer` over ``state``, a committed image of this spec's
+        warehouse (``ShardedWarehouse.answer`` passes its assembled one)."""
         expression = self._as_expression(query)
         plan = translate_cached(self.spec, expression, self._translation_cache)
         tracer = self._tracer
@@ -477,11 +497,9 @@ class Warehouse:
         try:
             if tracer is not None:
                 with tracer.span("answer", query=str(expression)):
-                    result = evaluate(
-                        plan, self.state, tracer=tracer, engine=self.engine
-                    )
+                    result = evaluate(plan, state, tracer=tracer, engine=self.engine)
             else:
-                result = evaluate(plan, self.state, engine=self.engine)
+                result = evaluate(plan, state, engine=self.engine)
         finally:
             if sanitize_buffer is not None and self._tracer is not None:
                 self._tracer.collectors.remove(sanitize_buffer)
@@ -497,7 +515,7 @@ class Warehouse:
                 check_translation_reads(
                     self.spec, translation_read_set(self.spec, expression), root
                 )
-        return result
+        return _detached(result, state)
 
     def reconstruct(self, relation: str) -> Relation:
         """Recompute one base relation via Equation (4)."""

@@ -35,8 +35,19 @@ kernels by default. Callers can also pass ``engine="columnar"`` explicitly
 
 from __future__ import annotations
 
+import operator
 from itertools import compress
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import EvaluationError, ExpressionError
 from repro.algebra.conditions import (
@@ -76,6 +87,15 @@ _VALUES: List[object] = []
 
 #: Sentinel code returned for values never interned (matches no real code).
 _UNKNOWN = -1
+
+#: The ordered comparisons without the total-order wrapper of ``_OPS``:
+#: a column of mutually comparable values never needs it.
+_ORDERED = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 def intern_value(value: object) -> int:
@@ -466,12 +486,14 @@ class ColumnarTable:
     def select_project(
         self, condition: Condition, attributes: Sequence[str]
     ) -> "ColumnarTable":
-        """Fused ``pi_Z(sigma_c(e))`` in one pass (the compiler's kernel).
+        """Fused ``pi_Z(sigma_c(e))`` in one pass.
 
         The predicate is decided over dictionary codes exactly as in
         :meth:`select`, but instead of materializing the filtered table the
         surviving positions are gathered straight into the projected
-        columns — the intermediate selection result is never built.
+        columns — the intermediate selection result is never built. Both
+        the plan compiler and the interpreted columnar evaluator run every
+        projection of a selection through it.
         """
         _count("select_project")
         dense = self._as_dense()
@@ -496,11 +518,10 @@ class ColumnarTable:
             return ColumnarTable(attrs, picked, len(taken))
         if len(cols) == 1:
             column = cols[0]
-            unique = list(dict.fromkeys(column[i] for i in taken))
+            unique = list(dict.fromkeys([column[i] for i in taken]))
             return ColumnarTable(attrs, (unique,), len(unique))
-        unique_rows = list(
-            dict.fromkeys(tuple(column[i] for column in cols) for i in taken)
-        )
+        picked = [[column[i] for i in taken] for column in cols]
+        unique_rows = list(dict.fromkeys(zip(*picked)))
         if not unique_rows:
             return ColumnarTable.empty(attrs)
         columns = tuple(list(column) for column in zip(*unique_rows))
@@ -692,10 +713,10 @@ def _matching_positions(
         return _comparison_positions(table, condition)
     if isinstance(condition, And):
         parts = [_matching_positions(table, part) for part in condition.parts]
-        narrowed = [part for part in parts if part is not None]
+        narrowed = sorted((part for part in parts if part is not None), key=len)
         if not narrowed:
             return None
-        return set.intersection(*narrowed)
+        return narrowed[0].intersection(*narrowed[1:])
     if isinstance(condition, Or):
         parts = [_matching_positions(table, part) for part in condition.parts]
         if any(part is None for part in parts):
@@ -720,7 +741,8 @@ def _comparison_positions(
     ordered comparisons are evaluated once per distinct code (the
     dictionary-encoding win: cost scales with the column's cardinality,
     not its length). Comparison semantics — including the total-order
-    fallback for mixed types — are exactly the tuple path's ``_OPS``.
+    fallback for mixed types — are exactly the tuple path's ``_OPS``
+    (see :func:`_ordered`).
     """
     left, op, right = comparison.left, comparison.op, comparison.right
     if isinstance(left, Constant) and isinstance(right, Constant):
@@ -741,20 +763,32 @@ def _comparison_positions(
             if code is None:
                 return None
             return {i for i, c in enumerate(column) if c != code}
-        compare = _OPS[op]
         values = _VALUES
-        good = {c for c in set(column) if compare(values[c], value)}
+        distinct = set(column)
+        good = _ordered(
+            op, lambda compare: {c for c in distinct if compare(values[c], value)}
+        )
         return {i for i, c in enumerate(column) if c in good}
     other = table._column(right.name)
     if op == "=":
         return {i for i, pair in enumerate(zip(column, other)) if pair[0] == pair[1]}
     if op == "!=":
         return {i for i, pair in enumerate(zip(column, other)) if pair[0] != pair[1]}
-    compare = _OPS[op]
     values = _VALUES
-    good = {
-        pair
-        for pair in set(zip(column, other))
-        if compare(values[pair[0]], values[pair[1]])
-    }
+    pairs = set(zip(column, other))
+    good = _ordered(
+        op, lambda compare: {p for p in pairs if compare(values[p[0]], values[p[1]])}
+    )
     return {i for i, pair in enumerate(zip(column, other)) if pair in good}
+
+
+def _ordered(op: str, decide: Callable[[Callable[[object, object], bool]], Set]) -> Set:
+    """``decide(compare)`` with the plain ordered comparison ``op``.
+
+    Only if a pair of values refuses to compare (``"x" < 2``) is it decided
+    again with the total-order wrapper of ``_OPS``.
+    """
+    try:
+        return decide(_ORDERED[op])
+    except TypeError:
+        return decide(_OPS[op])

@@ -11,7 +11,8 @@ import random
 import pytest
 
 from repro import Relation, evaluate, parse
-from repro.algebra.optimize import optimize
+from repro.algebra.optimize import _rewrite, optimize
+from repro.algebra.simplify import simplify
 
 SCOPE = {"R": ("a", "b"), "S": ("b", "c"), "T": ("a", "b")}
 
@@ -27,11 +28,17 @@ def random_state(seed: int):
     return state
 
 
+def assert_fixpoint(optimized, scope=SCOPE):
+    """One more rewrite pass leaves an optimized plan as it is."""
+    assert simplify(_rewrite(optimized, scope), scope) == optimized
+
+
 def check(text: str, expected: str = None):
     expr = parse(text)
     optimized = optimize(expr, SCOPE)
     if expected is not None:
         assert str(optimized) == expected, f"{text} -> {optimized}"
+    assert_fixpoint(optimized)
     for seed in range(8):
         state = random_state(seed)
         assert evaluate(expr, state) == evaluate(optimized, state), (text, seed)
@@ -97,12 +104,21 @@ class TestProjectionPruning:
         check("pi[a](R union T)", "pi[a](R) union pi[a](T)")
 
     def test_narrow_below_selection(self):
-        optimized = check("pi[a](sigma[b = 1](R))")
-        # Nothing to narrow (R is only a, b); shape preserved.
-        assert str(optimized) in (
-            "pi[a](sigma[b = 1](R))",
-            "pi[a](sigma[b = 1](pi[a, b](R)))",
-        )
+        # The canonical leaf: selection on the relation, projection above.
+        check("pi[a](sigma[b = 1](R))", "pi[a](sigma[b = 1](R))")
+
+    def test_selection_on_stored_relation_is_not_narrowed(self):
+        scope = {"W": ("b", "d", "e", "f")}
+        expr = parse("pi[d](sigma[b = 1](pi[b, d, e](W)))")
+        assert str(optimize(expr, scope)) == "pi[d](sigma[b = 1](W))"
+
+    def test_narrow_join_below_cross_selection(self):
+        scope = dict(SCOPE)
+        scope["W"] = ("b", "d", "e", "f")
+        optimized = optimize(parse("pi[a](sigma[a = d](R join W))"), scope)
+        # W keeps the condition attribute d and the join attribute b.
+        assert str(optimized) == "pi[a](sigma[a = d](R join pi[b, d](W)))"
+        assert_fixpoint(optimized, scope)
 
     def test_wide_join_gets_narrowed(self):
         scope = dict(SCOPE)

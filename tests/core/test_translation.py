@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pathlib
 import random
 
 import pytest
@@ -87,3 +88,32 @@ class TestTranslation:
         once = translate_query(spec, parse("pi[a](R)"))
         twice = translate_query(spec, once)
         assert once == twice
+
+
+SPECS = sorted(
+    (pathlib.Path(__file__).resolve().parents[2] / "examples" / "specs").glob("*.json")
+)
+
+
+def test_example_spec_translations_are_fixpoints():
+    """``optimize`` stops at a fixpoint, not at its pass limit."""
+    from repro.algebra.optimize import _rewrite
+    from repro.algebra.simplify import simplify
+    from repro.analysis.query import default_queries, invertible_spec
+    from repro.analysis.specfile import load_target
+
+    checked = 0
+    for path in SPECS:
+        target = load_target(str(path))
+        spec = invertible_spec(target)
+        if spec is None:  # Theorem 3.1 does not apply verbatim
+            continue
+        queries = target.queries
+        items = queries.items if queries is not None else default_queries(target)
+        scope = spec.warehouse_scope()
+        for item in items:
+            plan = translate_query(spec, parse(item.query), optimized=True)
+            again = simplify(_rewrite(plan, scope), scope)
+            assert again == plan, (path.name, item.query)
+            checked += 1
+    assert checked >= 10

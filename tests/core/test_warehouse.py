@@ -78,6 +78,19 @@ class TestQueries:
         result = warehouse.answer("pi[clerk](Sale) union pi[clerk](Emp)")
         assert ("Paula",) in result
 
+    def test_fresh_answer_drops_columnar_twin(self, catalog, db):
+        wh = Warehouse.specify(
+            catalog, [View("Sold", parse("Sale join Emp"))], engine="columnar"
+        )
+        wh.initialize(db)
+        answer = wh.answer("pi[clerk](Sale) union pi[clerk](Emp)")
+        assert not answer.has_columnar_twin()
+        # A bound state relation returned as the answer keeps its twin:
+        # refresh patches it.
+        bound = wh.answer("Sold")
+        assert bound is wh.state["Sold"]
+        assert bound.has_columnar_twin()
+
     def test_translate_accepts_strings(self, warehouse):
         translated = warehouse.translate("pi[clerk](Sale)")
         assert translated.relation_names() <= set(warehouse.spec.warehouse_names())

@@ -287,6 +287,23 @@ class TestShardedWarehouseEquivalence:
         query = parse("pi[item, age](Sale join Emp)")
         assert sharded.answer(query) == reference.answer(query)
 
+    def test_repeated_answer_hits_translation_cache(self, catalog):
+        sharded, reference = make_pair(
+            catalog, [ShardRouting("Sale", "item", boundaries=["M"])]
+        )
+        cache = sharded.shards[0].translation_cache
+        query = parse("pi[item, age](Sale join Emp)")
+        first = sharded.answer(query)
+        assert (cache.misses, cache.hits, len(cache)) == (1, 0, 1)
+        sharded.apply(self.OPS[0])
+        reference.apply(self.OPS[0])
+        again = sharded.answer(parse("pi[item, age](Sale join Emp)"))
+        assert (cache.misses, cache.hits) == (1, 1)
+        assert again == reference.answer(query) != first
+        # A prover re-verdict on shard 0 evicts the sharded plans too.
+        assert sharded.shards[0].recertify_queries({"translation_digest": "stale"})
+        assert len(cache) == 0
+
     def test_apply_batch_parity(self, catalog):
         sharded, reference = make_pair(
             catalog, [ShardRouting("Sale", "item", shards=2)]

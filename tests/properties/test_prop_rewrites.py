@@ -4,14 +4,14 @@ Hypothesis builds random well-typed expression trees (including difference
 and rename, beyond the CQ fragment) plus random states, and checks that
 
 * ``simplify`` preserves evaluation,
-* ``optimize`` preserves evaluation,
+* ``optimize`` preserves evaluation and stops at a true fixpoint,
 * ``parse(str(expr)) == expr`` (printer/parser round-trip) for trees whose
   constants are printable.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Relation, evaluate, parse
@@ -25,7 +25,7 @@ from repro.algebra.expressions import (
     Select,
     Union,
 )
-from repro.algebra.optimize import optimize
+from repro.algebra.optimize import _rewrite, optimize
 from repro.algebra.simplify import simplify
 
 from .strategies import relation
@@ -34,19 +34,21 @@ SCOPE = {"R": ("a", "b"), "S": ("b", "c"), "T": ("a", "b")}
 FRESH = "xyz"
 
 
-def expressions(depth: int):
-    leaves = st.sampled_from(
-        [RelationRef("R"), RelationRef("S"), RelationRef("T")]
-    )
+#: SCOPE plus a wider relation: projections can narrow its selections.
+WIDE_SCOPE = dict(SCOPE, F=("a", "b", "c"))
+
+
+def expressions(depth: int, scope=SCOPE):
+    leaves = st.sampled_from([RelationRef(name) for name in scope])
     if depth == 0:
         return leaves
-    sub = expressions(depth - 1)
+    sub = expressions(depth - 1, scope)
 
     def combine(args):
         kind, left, right, value, pick = args
         try:
-            left_attrs = frozenset(left.attributes(SCOPE_EXT))
-            right_attrs = frozenset(right.attributes(SCOPE_EXT))
+            left_attrs = frozenset(left.attributes(scope))
+            right_attrs = frozenset(right.attributes(scope))
         except Exception:
             return left
         if kind == "join":
@@ -81,10 +83,6 @@ def expressions(depth: int):
     ).map(combine)
 
 
-# Renames can introduce x, y, z downstream; widen the scope for typing.
-SCOPE_EXT = SCOPE
-
-
 def states():
     return st.fixed_dictionaries(
         {
@@ -95,9 +93,9 @@ def states():
     )
 
 
-def _typed(expr) -> bool:
+def _typed(expr, scope=SCOPE) -> bool:
     try:
-        expr.attributes(SCOPE)
+        expr.attributes(scope)
         return True
     except Exception:
         return False
@@ -119,6 +117,17 @@ def test_optimize_preserves_semantics(expr, state):
         return
     optimized = optimize(expr, SCOPE)
     assert evaluate(expr, state) == evaluate(optimized, state), str(expr)
+
+
+@given(expressions(3, WIDE_SCOPE))
+@example(parse("pi[a](sigma[b > 3](pi[a, b](F)))"))
+@settings(max_examples=150, deadline=None)
+def test_optimize_reaches_fixpoint(expr):
+    if not _typed(expr, WIDE_SCOPE):
+        return
+    optimized = optimize(expr, WIDE_SCOPE)
+    again = simplify(_rewrite(optimized, WIDE_SCOPE), WIDE_SCOPE)
+    assert again == optimized, f"{expr}: {optimized} -> {again}"
 
 
 @given(expressions(3))

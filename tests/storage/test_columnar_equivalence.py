@@ -154,6 +154,22 @@ class TestKernelEquivalence:
         expected = r.project(target)
         assert_equivalent(r.columnar().project(target), expected)
 
+    @given(
+        schemas().flatmap(
+            lambda attrs: st.tuples(
+                relations(attrs),
+                st.just(attrs).flatmap(conditions),
+                st.sets(st.sampled_from(attrs), min_size=1).flatmap(
+                    lambda sub: st.permutations(sorted(sub)).map(tuple)
+                ),
+            )
+        )
+    )
+    def test_select_project(self, case):
+        r, condition, target = case
+        expected = r.select(condition.compile(r.attributes)).project(target)
+        assert_equivalent(r.columnar().select_project(condition, target), expected)
+
     @given(relation_pairs())
     def test_join(self, pair):
         r, s = pair
@@ -296,6 +312,33 @@ class TestDictionaryEdgeCases:
         assert_equivalent(unit.columnar().join(unit.columnar()), unit)
         assert_equivalent(unit.columnar().union(empty.columnar()), unit)
         assert_equivalent(unit.columnar().difference(unit.columnar()), empty)
+
+    def test_mixed_int_str_column_orders_totally(self):
+        """Ordered comparisons over a column holding ints and strs.
+
+        The plain comparison raises ``TypeError`` there, so the kernel must
+        fall back to the tuple path's total order (type name, then repr).
+        """
+        r = Relation(("a", "b"), [(1, 2), ("x", 0), (3, "y"), ("z", "z")])
+        table = r.columnar()
+        for op in ("<", "<=", ">", ">="):
+            for condition in (
+                Comparison(AttributeRef("a"), op, Constant(2)),
+                Comparison(AttributeRef("a"), op, Constant("y")),
+                Comparison(AttributeRef("a"), op, AttributeRef("b")),
+                And(
+                    [
+                        Comparison(AttributeRef("a"), op, Constant(2)),
+                        Comparison(AttributeRef("b"), "!=", Constant(0)),
+                    ]
+                ),
+            ):
+                expected = r.select(condition.compile(r.attributes))
+                assert_equivalent(table.select(condition), expected)
+                assert_equivalent(
+                    table.select_project(condition, ("b",)),
+                    expected.project(("b",)),
+                )
 
     def test_value_aliasing_matches_frozensets(self):
         """1, 1.0, and True are one frozenset member — and one code."""
